@@ -83,8 +83,7 @@ pub struct RunSummary {
 /// across cells, so nesting per-trial workers would only oversubscribe).
 pub fn run_cell(cell: &Cell) -> Result<Vec<TrialOutcome>, String> {
     let topo = parse_topology(&cell.topo)?;
-    let mut cfg = SimConfig::paragon_like();
-    cfg.shards = cell.shards.max(1);
+    let cfg = SimConfig::paragon_like();
     Ok(run_trials_detailed(
         topo.as_ref(),
         &cfg,
@@ -414,7 +413,6 @@ mod tests {
             bytes: 64,
             trials: 1,
             seed: 1,
-            shards: 1,
         };
         let res = catch_unwind(AssertUnwindSafe(|| run_cell(&cell)));
         assert!(res.is_err(), "oversized placement must panic");

@@ -54,15 +54,38 @@ pub struct CampaignSpec {
     pub ks: Vec<usize>,
     /// Message sizes in bytes.
     pub sizes: Vec<u64>,
-    /// Shards per cell simulation (default 1 = sequential).  Sharded runs
-    /// are bit-identical to sequential ones, so this is purely an
-    /// execution hint — it does not enter cell keys, and stores written
-    /// with different shard counts interoperate.
-    pub shards: usize,
     /// Optional per-cell wall-clock budget in milliseconds.
     pub budget_ms: Option<u64>,
     /// Optional figure mapping for the aggregation pass.
     pub figure: Option<FigureSpec>,
+}
+
+/// Keys a campaign spec object may carry.
+const SPEC_KEYS: [&str; 9] = [
+    "name",
+    "seed",
+    "trials",
+    "topos",
+    "algorithms",
+    "ks",
+    "sizes",
+    "budget_ms",
+    "figure",
+];
+
+/// Keys a `figure` object may carry.
+const FIGURE_KEYS: [&str; 5] = ["id", "title", "x", "x_label", "y_label"];
+
+/// Reject the first key not in `known`: a misspelt key would otherwise be
+/// ignored and its field silently take the default.
+fn reject_unknown(fields: &[(String, Value)], known: &[&str], what: &str) -> Result<(), DeError> {
+    match fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((k, _)) => Err(de_err(format!(
+            "unknown {what} key '{k}' (expected one of: {})",
+            known.join(", ")
+        ))),
+        None => Ok(()),
+    }
 }
 
 fn opt_field<'v>(fields: &'v [(String, Value)], name: &str) -> Option<&'v Value> {
@@ -105,6 +128,7 @@ impl Deserialize for FigureSpec {
         let fields = v
             .as_object()
             .ok_or_else(|| de_err("figure spec must be an object"))?;
+        reject_unknown(fields, &FIGURE_KEYS, "figure")?;
         let x_axis = match str_field(fields, "x")?.as_str() {
             "bytes" => XAxis::Bytes,
             "nodes" => XAxis::Nodes,
@@ -145,6 +169,7 @@ impl Deserialize for CampaignSpec {
         let fields = v
             .as_object()
             .ok_or_else(|| de_err("campaign spec must be an object"))?;
+        reject_unknown(fields, &SPEC_KEYS, "campaign spec")?;
         let as_str = |v: &Value| {
             v.as_str()
                 .map(str::to_string)
@@ -169,7 +194,6 @@ impl Deserialize for CampaignSpec {
             })?,
             ks: list_field(fields, "ks", as_usize)?,
             sizes: list_field(fields, "sizes", as_u64)?,
-            shards: u64_field(fields, "shards", 1)? as usize,
             budget_ms: match opt_field(fields, "budget_ms") {
                 None | Some(Value::Null) => None,
                 Some(v) => Some(
@@ -210,9 +234,6 @@ impl CampaignSpec {
         if self.trials == 0 {
             return Err("trials must be at least 1".into());
         }
-        if self.shards == 0 {
-            return Err("shards must be at least 1".into());
-        }
         for t in &self.topos {
             let topo = parse_topology(t)?;
             let n = topo.graph().n_nodes();
@@ -242,11 +263,6 @@ pub struct Cell {
     pub trials: usize,
     /// Campaign base seed.
     pub seed: u64,
-    /// Shards for the cell's simulations.  An execution hint only —
-    /// sharded results are bit-identical to sequential, so this field is
-    /// deliberately **excluded** from [`Cell::key`]: a resumed campaign
-    /// reuses cells recorded at any shard count.
-    pub shards: usize,
 }
 
 impl Cell {
@@ -281,7 +297,6 @@ pub fn expand(spec: &CampaignSpec) -> Vec<Cell> {
                         bytes,
                         trials: spec.trials,
                         seed: spec.seed,
-                        shards: spec.shards,
                     });
                 }
             }
@@ -320,26 +335,38 @@ mod tests {
 
     #[test]
     fn spec_rejects_bad_grids() {
+        // Each patch replaces the line holding its key, or is inserted
+        // after the opening brace when the demo spec has no such key.
         for (patch, what) in [
             (r#""topos": ["ring:9"]"#, "unknown topology"),
             (r#""ks": [100]"#, "k exceeding the machine"),
             (r#""trials": 0"#, "zero trials"),
             (r#""algorithms": ["magic"]"#, "unknown algorithm"),
             (r#""sizes": []"#, "empty sizes"),
+            (r#""shards": 4"#, "unknown key 'shards'"),
+            (r#""trails": 4"#, "unknown key 'trails'"),
+            (
+                r#""figure": {"id": "demo", "title": "t", "x": "bytes", "xlabel": "b"}"#,
+                "unknown figure key 'xlabel'",
+            ),
         ] {
-            let json = demo_json()
-                .split('\n')
-                .map(|line| {
-                    let key = patch.split(':').next().unwrap();
-                    if line.trim_start().starts_with(key) {
-                        format!("{patch},")
-                    } else {
-                        line.to_string()
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join("\n");
-            assert!(CampaignSpec::from_json(&json).is_err(), "{what}: {json}");
+            let key = patch.split(':').next().unwrap();
+            let mut lines: Vec<String> = demo_json().split('\n').map(str::to_string).collect();
+            match lines
+                .iter_mut()
+                .find(|line| line.trim_start().starts_with(key))
+            {
+                Some(line) => {
+                    let comma = if line.ends_with(',') { "," } else { "" };
+                    *line = format!("{patch}{comma}");
+                }
+                None => lines.insert(1, format!("{patch},")),
+            }
+            let json = lines.join("\n");
+            let err = CampaignSpec::from_json(&json).expect_err(what);
+            if let Some(name) = what.split('\'').nth(1) {
+                assert!(err.contains(&format!("'{name}'")), "{what}: {err}");
+            }
         }
     }
 

@@ -1,6 +1,32 @@
 //! Minimal `--flag value` argument handling.
 
+use std::fmt;
+
 use crate::{err, CliError};
+
+/// A flag the subcommand does not read — most often a typo, which would
+/// otherwise be ignored and leave its setting at the default.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownFlag {
+    /// The subcommand the flag was given to.
+    pub command: String,
+    /// The flag name, without the leading `--`.
+    pub flag: String,
+}
+
+impl fmt::Display for UnknownFlag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown flag --{} for '{}'", self.flag, self.command)
+    }
+}
+
+impl std::error::Error for UnknownFlag {}
+
+impl From<UnknownFlag> for CliError {
+    fn from(e: UnknownFlag) -> Self {
+        CliError(e.to_string())
+    }
+}
 
 /// Parsed arguments: positional subcommand (+ optional action word, as in
 /// `sweep run`) + flag map.
@@ -43,6 +69,21 @@ impl Args {
             action,
             flags,
         })
+    }
+
+    /// Reject the first flag not listed in `known`.
+    pub fn reject_unknown(&self, known: &[&[&str]]) -> Result<(), UnknownFlag> {
+        match self
+            .flags
+            .iter()
+            .find(|(n, _)| !known.iter().any(|set| set.contains(&n.as_str())))
+        {
+            Some((n, _)) => Err(UnknownFlag {
+                command: self.command.clone(),
+                flag: n.clone(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// String value of a flag.

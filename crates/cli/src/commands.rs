@@ -9,9 +9,122 @@ use optmc::experiments::{random_placement, run_trials};
 use optmc::{check_schedule, check_schedule_windowed, measure, OccupancyParams, RunOptions};
 use pcm::Time;
 
-use crate::args::Args;
+use crate::args::{Args, UnknownFlag};
 use crate::spec::{discipline_for, parse_algorithm, parse_topology};
 use crate::{err, CliError};
+
+/// Simulation-config flags every simulating subcommand reads (`build_cfg`).
+const SIM_FLAGS: &[&str] = &["addr-bytes", "buffer-flits", "no-adaptive"];
+
+/// The flags each subcommand reads, and whether it also reads
+/// [`SIM_FLAGS`].  Any other flag is rejected before the command runs.
+const COMMAND_FLAGS: &[(&str, &[&str], bool)] = &[
+    ("tree", &["hold", "end", "k", "dot", "src"], false),
+    (
+        "check",
+        &[
+            "topo",
+            "alg",
+            "nodes",
+            "bytes",
+            "seed",
+            "src",
+            "conservative",
+            "json",
+            "set",
+            "count",
+            "gap",
+            "mean-gap",
+            "disjoint",
+            "cert-out",
+        ],
+        true,
+    ),
+    (
+        "run",
+        &[
+            "topo",
+            "alg",
+            "nodes",
+            "bytes",
+            "seed",
+            "temporal",
+            "trace",
+            "trace-limit",
+        ],
+        true,
+    ),
+    (
+        "inspect",
+        &[
+            "topo",
+            "alg",
+            "nodes",
+            "bytes",
+            "seed",
+            "temporal",
+            "trace-out",
+            "format",
+            "trace-limit",
+            "heatmap",
+            "heatmap-out",
+            "telemetry-out",
+            "plan-telemetry",
+        ],
+        true,
+    ),
+    (
+        "compare",
+        &["topo", "nodes", "bytes", "trials", "seed"],
+        true,
+    ),
+    ("calibrate", &["topo", "sizes"], true),
+    ("gather", &["topo", "alg", "nodes", "bytes", "seed"], true),
+    ("growth", &["hold", "end", "until"], false),
+    (
+        "sweep",
+        &[
+            "spec",
+            "jobs",
+            "budget-ms",
+            "out",
+            "quiet",
+            "progress",
+            "json",
+            "telemetry-out",
+        ],
+        false,
+    ),
+    (
+        "workload",
+        &[
+            "topo", "nodes", "bytes", "alg", "count", "gap", "mean-gap", "seed",
+        ],
+        false,
+    ),
+    (
+        "plan",
+        &[
+            "topo", "members", "nodes", "seed", "alg", "bytes", "hold", "end", "certify", "json",
+        ],
+        false,
+    ),
+    (
+        "serve",
+        &["capacity", "certify", "listen", "quiet", "telemetry-out"],
+        false,
+    ),
+    ("help", &[], false),
+];
+
+/// Reject any flag the subcommand does not read (see [`COMMAND_FLAGS`]).
+/// Unknown subcommands pass; [`dispatch`] reports them.
+fn check_flags(a: &Args) -> Result<(), UnknownFlag> {
+    match COMMAND_FLAGS.iter().find(|(c, ..)| *c == a.command) {
+        Some(&(_, own, sim)) => a.reject_unknown(&[own, if sim { SIM_FLAGS } else { &[] }]),
+        None => Ok(()),
+    }
+}
 
 /// Dispatch a parsed argument set.
 pub fn dispatch(a: &Args) -> Result<String, CliError> {
@@ -21,6 +134,7 @@ pub fn dispatch(a: &Args) -> Result<String, CliError> {
             return Err(err(format!("unexpected positional argument '{action}'")));
         }
     }
+    check_flags(a)?;
     match a.command.as_str() {
         "tree" => cmd_tree(a),
         "check" => cmd_check(a),
@@ -446,23 +560,21 @@ fn build_cfg(a: &Args) -> Result<SimConfig, CliError> {
     let mut cfg = SimConfig::paragon_like();
     cfg.addr_bytes = a.num("addr-bytes", cfg.addr_bytes)?;
     cfg.buffer_flits = a.num("buffer-flits", cfg.buffer_flits)?;
-    cfg.shards = a.num("shards", cfg.shards)?;
-    if cfg.shards == 0 {
-        return Err(err("--shards must be at least 1"));
-    }
     if a.has("no-adaptive") {
         cfg.adaptive = false;
     }
-    if a.has("trace") {
-        cfg.trace = true;
-    }
-    if let Some(limit) = a.get("trace-limit") {
-        let limit: usize = limit
-            .parse()
-            .map_err(|_| err(format!("--trace-limit: cannot parse '{limit}'")))?;
-        cfg.trace_limit = Some(limit);
-    }
     Ok(cfg)
+}
+
+/// `--trace-limit N`, read by the tracing commands (`run`, `inspect`).
+fn trace_limit(a: &Args) -> Result<Option<usize>, CliError> {
+    a.get("trace-limit")
+        .map(|limit| {
+            limit
+                .parse()
+                .map_err(|_| err(format!("--trace-limit: cannot parse '{limit}'")))
+        })
+        .transpose()
 }
 
 /// `optmc run` — one multicast, full detail.
@@ -479,44 +591,15 @@ fn cmd_run(a: &Args) -> Result<String, CliError> {
     if k < 2 {
         return Err(err("--nodes must be at least 2"));
     }
-    let cfg = build_cfg(a)?;
+    let mut cfg = build_cfg(a)?;
+    cfg.trace = a.has("trace");
+    cfg.trace_limit = trace_limit(a)?;
     let opts = RunOptions {
         temporal: a.has("temporal"),
         ..RunOptions::default()
     };
     let parts = random_placement(n, k, seed);
-    let sharded_before = flitsim::metrics::SHARDED_RUNS.get();
-    // `--counters`: attach the counting observer — the one observer arm
-    // the sharded engine accumulates per shard and merges exactly, so the
-    // differential gate can exercise observed sharded runs.
-    let observer = a.has("counters").then(flitsim::TraceSink::counters);
-    let out = optmc::run_multicast_observed(
-        topo.as_ref(),
-        &cfg,
-        alg,
-        &parts,
-        parts[0],
-        bytes,
-        &opts,
-        observer,
-    );
-
-    // `--fingerprint`: print the canonical SimResult JSON and nothing else
-    // — the substrate of the sequential-vs-sharded differential gate in
-    // scripts/check.sh.  A sharded invocation that silently fell back to
-    // the sequential engine would make that comparison vacuous, so it is
-    // an error here, naming the engine's concrete fallback reason.
-    if a.has("fingerprint") {
-        if cfg.shards > 1 && flitsim::metrics::SHARDED_RUNS.get() == sharded_before {
-            let reason = flitsim::metrics::last_shard_fallback()
-                .unwrap_or("workload below the conservative-window floor");
-            return Err(err(format!(
-                "--shards {} requested but the sharded engine did not engage: {reason}",
-                cfg.shards
-            )));
-        }
-        return Ok(format!("{}\n", out.sim.fingerprint()));
-    }
+    let out = optmc::run_multicast_opts(topo.as_ref(), &cfg, alg, &parts, parts[0], bytes, &opts);
 
     let chain = alg.chain(topo.as_ref(), &parts, parts[0]);
     let static_conflicts = check_schedule(topo.as_ref(), &chain, &out.schedule).len();
@@ -588,6 +671,7 @@ fn cmd_inspect(a: &Args) -> Result<String, CliError> {
     }
     let mut cfg = build_cfg(a)?;
     cfg.trace = true; // inspect exists to observe
+    cfg.trace_limit = trace_limit(a)?;
     let opts = RunOptions {
         temporal: a.has("temporal"),
         ..RunOptions::default()
@@ -1176,6 +1260,101 @@ mod tests {
     fn help_and_unknown() {
         assert!(run("help").unwrap().contains("USAGE"));
         assert!(run("frobnicate").is_err());
+    }
+
+    /// Flag names (`--x`) in a line of text.
+    fn flags_in(line: &str) -> Vec<String> {
+        line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|tok| tok.strip_prefix("--"))
+            .map(|f| format!("--{f}"))
+            .collect()
+    }
+
+    fn flags_ok(cmdline: &str) -> Result<(), UnknownFlag> {
+        check_flags(&Args::parse(cmdline.split_whitespace().map(String::from)).unwrap())
+    }
+
+    #[test]
+    fn every_documented_flag_is_accepted_and_typos_are_rejected() {
+        // Each `optmc <cmd>` block of USAGE, continuation lines included,
+        // with every flag it lists.
+        let usage = crate::USAGE;
+        let synopsis = usage
+            .split("USAGE:\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .unwrap();
+        let mut blocks: Vec<(String, Vec<String>)> = Vec::new();
+        for line in synopsis.lines() {
+            match line.trim_start().strip_prefix("optmc ") {
+                Some(rest) => {
+                    let cmd = rest.split_whitespace().next().unwrap().to_string();
+                    blocks.push((cmd, flags_in(rest)));
+                }
+                None => blocks.last_mut().unwrap().1.extend(flags_in(line)),
+            }
+        }
+        assert_eq!(blocks.len(), 13, "USAGE synopsis lines");
+        let sim_commands = ["check", "run", "inspect", "compare", "calibrate", "gather"];
+        let common = usage.split("COMMON SIM FLAGS:").nth(1).unwrap();
+        let common: Vec<String> = flags_in(common.split("\n\n").next().unwrap());
+        assert_eq!(common, ["--addr-bytes", "--buffer-flits", "--no-adaptive"]);
+        for (cmd, flags) in &blocks {
+            let mut line = format!("{cmd} {}", flags.join(" "));
+            if sim_commands.contains(&cmd.as_str()) {
+                line = format!("{line} {}", common.join(" "));
+            }
+            assert_eq!(flags_ok(&line), Ok(()), "{line}");
+        }
+        // The argv lists scripts, examples and the benchmark harness pass.
+        for line in [
+            "check --topo mesh:16x16 --alg opt-mesh --bytes 4096 --src 0",
+            "check --topo mesh:16x16 --set --count 16 --nodes 8 --bytes 2048 \
+             --gap 2000000 --disjoint --seed 1997 --cert-out c.json",
+            "check --topo mesh:16x16 --alg opt-arch --nodes 16 --seed 3 --bytes 4096 --json",
+            "check --topo mesh:16x16 --set --nodes 16 --count 4 --seed 3 --disjoint \
+             --bytes 4096 --json",
+            "sweep run --spec s.json --jobs 2 --quiet --out dir",
+            "inspect --topo mesh:16x16 --alg opt-arch --nodes 24 --bytes 4096 --format text \
+             --heatmap --telemetry-out t.json",
+            "serve --quiet --telemetry-out t.json",
+        ] {
+            assert_eq!(flags_ok(line), Ok(()), "{line}");
+        }
+        // One misspelt flag per subcommand: a typed error naming both.
+        for (cmd, typo) in [
+            ("tree", "hlod"),
+            ("check", "nodse"),
+            ("run", "szie"),
+            ("inspect", "fromat"),
+            ("compare", "trails"),
+            ("calibrate", "size"),
+            ("gather", "algo"),
+            ("growth", "untill"),
+            ("sweep", "jbos"),
+            ("workload", "conut"),
+            ("plan", "memebrs"),
+            ("serve", "capcity"),
+            ("help", "verbose"),
+        ] {
+            assert_eq!(
+                flags_ok(&format!("{cmd} --{typo} 1")),
+                Err(UnknownFlag {
+                    command: cmd.into(),
+                    flag: typo.into(),
+                }),
+            );
+        }
+        assert_eq!(COMMAND_FLAGS.len(), 13, "every subcommand has a typo row");
+        // Dropped flags are rejected like any other.
+        for gone in ["shards 4", "counters", "fingerprint"] {
+            let line = format!("run --topo mesh:4x4 --alg opt-arch --nodes 4 --bytes 64 --{gone}");
+            assert!(flags_ok(&line).is_err(), "{line}");
+        }
+        let e =
+            run("run --topo mesh:16x16 --alg opt-arch --nodes 8 --bytes 64 --szie 99 --shardz 3")
+                .unwrap_err();
+        assert_eq!(e.to_string(), "unknown flag --szie for 'run'");
     }
 
     #[test]

@@ -69,15 +69,6 @@ pub struct SimConfig {
     /// everything.  Ignored when a custom observer is installed via
     /// [`crate::Engine::set_observer`].
     pub trace_limit: Option<usize>,
-    /// Worker threads for [`crate::Engine::run_auto`]: the topology is
-    /// partitioned into this many shards, each running its own event queue
-    /// over its sub-topology, synchronised in conservative time windows.
-    /// Results are bit-identical to a sequential run.  `1` (the default)
-    /// runs sequentially; configurations the sharded engine cannot honor
-    /// exactly (tracing observers, worms short enough to violate its
-    /// release-lookahead precondition) fall back to the sequential path and
-    /// bump the `flitsim_shard_fallbacks_total` counter.
-    pub shards: usize,
     /// Software overheads.
     pub software: SoftwareModel,
 }
@@ -114,7 +105,6 @@ impl SimConfig {
             addr_bytes: 0,
             trace: false,
             trace_limit: None,
-            shards: 1,
             software: SoftwareModel {
                 t_send: LinearFn::new(350.0, 0.15),
                 t_recv: LinearFn::new(300.0, 0.15),

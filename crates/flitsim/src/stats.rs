@@ -118,11 +118,12 @@ impl SimResult {
     }
 
     /// Canonical JSON for reproducibility comparisons: the full result —
-    /// every message, every channel total, every deterministic meta count —
-    /// with the wall-clock figures (non-deterministic) and the heap
-    /// high-water marks (an execution-strategy detail: a sharded run keeps
-    /// several smaller queues) zeroed.  A sharded run is correct iff its
-    /// fingerprint is byte-identical to the sequential run's.
+    /// every message, every channel total, every deterministic meta count.
+    /// Four meta fields are zeroed: `wall_ns` and `events_per_sec` because
+    /// wall-clock figures differ run to run, and `peak_heap_events` and
+    /// `peak_heap_bytes` because they measure the engine's memory use (the
+    /// byte estimate grows when a retaining observer disables worm-slot
+    /// reuse), not what was simulated.
     pub fn fingerprint(&self) -> String {
         let mut canon = self.clone();
         canon.meta.peak_heap_events = 0;

@@ -154,18 +154,6 @@ impl Program for McastProgram {
     }
 }
 
-impl flitsim::program::ShardProgram for McastProgram {
-    fn fork(&self) -> Self {
-        let mut forked = self.clone();
-        forked.deliveries = 0;
-        forked
-    }
-
-    fn absorb(&mut self, other: Self) {
-        self.deliveries += other.deliveries;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

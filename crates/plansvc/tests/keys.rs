@@ -18,10 +18,8 @@ fn campaign_cell_keys_are_pinned() {
         bytes: 512,
         trials: 2,
         seed: 1997,
-        shards: 1,
     };
-    // The exact bytes PR-3 shard stores were written with.  `shards` is an
-    // execution hint and deliberately absent from the key.
+    // The exact bytes existing shard stores were written with.
     assert_eq!(cell.key(), "mesh:8x8|u-arch|k8|b512|t2|s1997");
 }
 
