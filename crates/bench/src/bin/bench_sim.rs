@@ -27,8 +27,8 @@ use std::process::ExitCode;
 use flitsim::SimConfig;
 use optmc::Algorithm;
 use optmc_bench::{
-    arg_value, bench_concurrent, bench_observed, bench_table, bench_workload, compare_bench,
-    observer_overhead_failures, parse_bench_file, write_bench_sim, SimBenchRecord,
+    arg_value, bench_concurrent, bench_observer_pair, bench_table, bench_workload, compare_bench,
+    observer_overhead_failures, parse_bench_file, write_bench_sim, SimBenchRecord, OBS_PAIR_PASSES,
 };
 use topo::{Bmin, Mesh, Topology, UpPolicy};
 
@@ -116,21 +116,20 @@ fn run_all(seed: u64, runs_for: &dyn Fn(&str, usize) -> usize) -> Vec<SimBenchRe
     // Observer-overhead pair: the same mesh workload under the default
     // Null observer and the counters-only sink.  Deterministic sentinels
     // must agree across the pair (observation never perturbs the
-    // simulation); the wall-clock ratio is the overhead measurement.
-    for (id, counters) in [("obs_null_mesh16", false), ("obs_counters_mesh16", true)] {
-        records.push(bench_observed(
-            id,
-            "16x16 mesh, 32 nodes, 16 KB, observer overhead pair",
-            &mesh,
-            &cfg,
-            Algorithm::OptArch,
-            32,
-            16 * 1024,
-            runs_for(id, 12),
-            seed,
-            counters,
-        ));
-    }
+    // simulation); the wall-clock ratio, taken over alternating
+    // repetitions, is the overhead measurement.
+    records.extend(bench_observer_pair(
+        "mesh16",
+        "16x16 mesh, 32 nodes, 16 KB, observer overhead pair",
+        &mesh,
+        &cfg,
+        Algorithm::OptArch,
+        32,
+        16 * 1024,
+        runs_for("obs_null_mesh16", 12),
+        seed,
+        OBS_PAIR_PASSES,
+    ));
 
     // 64 concurrent 16-node multicasts on the large mesh, arrivals staggered
     // 2000 cycles apart — an open-loop workload whose far-future injections

@@ -11,7 +11,7 @@ use std::fs;
 use std::path::Path;
 
 use flitsim::SimConfig;
-use optmc::{experiments::run_trials, run_concurrent, Algorithm, McastSpec, TrialStats};
+use optmc::{experiments::run_trials, run_concurrent, Algorithm, McastSpec};
 use pcm::{MsgSize, Time};
 use topo::Topology;
 
@@ -77,25 +77,12 @@ pub fn sweep_nodes(
         .collect()
 }
 
-/// Detailed per-point stats for contention analyses.
-pub fn stats_point(
-    topo: &dyn Topology,
-    cfg: &SimConfig,
-    alg: Algorithm,
-    k: usize,
-    bytes: MsgSize,
-    trials: usize,
-    seed: u64,
-) -> TrialStats {
-    run_trials(topo, cfg, alg, k, bytes, trials, seed)
-}
-
 // ---------------------------------------------------------------------------
 // Engine-vitals benchmarking (RunMeta aggregation).
 
 /// Aggregated engine vitals for one benchmark workload: several multicast
 /// runs of the same shape, with each run's [`flitsim::RunMeta`] folded in.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimBenchRecord {
     /// Workload id ("fig2_mesh_4k", ...).
     pub workload: String,
@@ -140,48 +127,31 @@ pub fn bench_workload(
 ) -> SimBenchRecord {
     assert!(runs >= 1);
     let n = topo.graph().n_nodes();
-    let mut rec = SimBenchRecord {
-        workload: workload.to_string(),
-        detail: detail.to_string(),
-        algorithm: alg.display_name(topo),
-        runs,
-        events_processed: 0,
-        events_scheduled: 0,
-        peak_heap_events: 0,
-        peak_heap_bytes: 0,
-        wall_ns: 0,
-        events_per_sec: 0.0,
-        mean_latency: 0.0,
-        sim_cycles: 0,
-    };
+    let mut rec = SimBenchRecord::empty(workload, detail, alg.display_name(topo), runs);
     let mut latency_sum = 0u64;
     for t in 0..runs {
         let parts = optmc::random_placement(n, k, seed + t as u64);
         let out = optmc::run_multicast(topo, cfg, alg, &parts, parts[0], bytes);
-        let m = &out.sim.meta;
-        rec.events_processed += m.events_processed;
-        rec.events_scheduled += m.events_scheduled;
-        rec.peak_heap_events = rec.peak_heap_events.max(m.peak_heap_events);
-        rec.peak_heap_bytes = rec.peak_heap_bytes.max(m.peak_heap_bytes);
-        rec.wall_ns += m.wall_ns;
-        rec.sim_cycles += out.sim.finish;
+        rec.add(&out.sim);
         latency_sum += out.latency;
     }
-    rec.mean_latency = latency_sum as f64 / runs as f64;
-    if rec.wall_ns > 0 {
-        rec.events_per_sec = rec.events_processed as f64 * 1e9 / rec.wall_ns as f64;
-    }
+    rec.close(latency_sum, runs);
     rec
 }
 
-/// [`bench_workload`] under an explicit observer: the `counters` arm runs
-/// with the counters-only [`flitsim::TraceSink`] (per-event tallies, slot
-/// reuse intact), the other with the default Null observer.  Paired
-/// records (`obs_null_*` / `obs_counters_*`) quantify the observer's
-/// overhead; [`observer_overhead_failures`] enforces the ceiling.
+/// Timed passes per half of an observer-overhead pair: one pass is too
+/// short to resolve a 5% difference.
+pub const OBS_PAIR_PASSES: usize = 50;
+
+/// [`bench_workload`] under the Null observer and the counters-only
+/// [`flitsim::TraceSink`], as records `obs_null_<tag>` / `obs_counters_<tag>`
+/// for [`observer_overhead_failures`].  The sentinels come from one
+/// untimed pass, which also warms both halves.  Then `passes` timed passes
+/// run every trial under both observers, alternating which goes first, and
+/// each half's `wall_ns` is its median pass.
 #[allow(clippy::too_many_arguments)]
-pub fn bench_observed(
-    workload: &str,
+pub fn bench_observer_pair(
+    tag: &str,
     detail: &str,
     topo: &dyn Topology,
     cfg: &SimConfig,
@@ -190,45 +160,48 @@ pub fn bench_observed(
     bytes: MsgSize,
     runs: usize,
     seed: u64,
-    counters: bool,
-) -> SimBenchRecord {
-    assert!(runs >= 1);
+    passes: usize,
+) -> [SimBenchRecord; 2] {
+    assert!(runs >= 1 && passes >= 1);
     let n = topo.graph().n_nodes();
-    let mut rec = SimBenchRecord {
-        workload: workload.to_string(),
-        detail: detail.to_string(),
-        algorithm: alg.display_name(topo),
-        runs,
-        events_processed: 0,
-        events_scheduled: 0,
-        peak_heap_events: 0,
-        peak_heap_bytes: 0,
-        wall_ns: 0,
-        events_per_sec: 0.0,
-        mean_latency: 0.0,
-        sim_cycles: 0,
-    };
-    let mut latency_sum = 0u64;
     let opts = optmc::RunOptions::default();
-    for t in 0..runs {
+    let run = |t: usize, counters: bool| {
         let parts = optmc::random_placement(n, k, seed + t as u64);
         let sink = counters.then(flitsim::TraceSink::counters);
-        let out =
-            optmc::run_multicast_observed(topo, cfg, alg, &parts, parts[0], bytes, &opts, sink);
-        let m = &out.sim.meta;
-        rec.events_processed += m.events_processed;
-        rec.events_scheduled += m.events_scheduled;
-        rec.peak_heap_events = rec.peak_heap_events.max(m.peak_heap_events);
-        rec.peak_heap_bytes = rec.peak_heap_bytes.max(m.peak_heap_bytes);
-        rec.wall_ns += m.wall_ns;
-        rec.sim_cycles += out.sim.finish;
-        latency_sum += out.latency;
+        optmc::run_multicast_observed(topo, cfg, alg, &parts, parts[0], bytes, &opts, sink)
+    };
+    let mut recs = ["obs_null", "obs_counters"].map(|half| {
+        SimBenchRecord::empty(
+            &format!("{half}_{tag}"),
+            detail,
+            alg.display_name(topo),
+            runs,
+        )
+    });
+    let mut latency_sums = [0; 2];
+    for (half, rec) in recs.iter_mut().enumerate() {
+        for t in 0..runs {
+            let out = run(t, half == 1);
+            rec.add(&out.sim);
+            latency_sums[half] += out.latency;
+        }
     }
-    rec.mean_latency = latency_sum as f64 / runs as f64;
-    if rec.wall_ns > 0 {
-        rec.events_per_sec = rec.events_processed as f64 * 1e9 / rec.wall_ns as f64;
+    let mut walls = vec![[0u64; 2]; passes];
+    for (pass, wall) in walls.iter_mut().enumerate() {
+        for t in 0..runs {
+            let first = (pass * runs + t) % 2;
+            for half in [first, 1 - first] {
+                wall[half] += run(t, half == 1).sim.meta.wall_ns;
+            }
+        }
     }
-    rec
+    for (half, rec) in recs.iter_mut().enumerate() {
+        let mut per_pass: Vec<u64> = walls.iter().map(|w| w[half]).collect();
+        per_pass.sort_unstable();
+        rec.wall_ns = per_pass[passes / 2];
+        rec.close(latency_sums[half], runs);
+    }
+    recs
 }
 
 /// Run `runs` seeded rounds of a `ways`-way concurrent multicast workload
@@ -252,20 +225,7 @@ pub fn bench_concurrent(
 ) -> SimBenchRecord {
     assert!(runs >= 1 && ways >= 1 && k >= 2);
     let n = topo.graph().n_nodes();
-    let mut rec = SimBenchRecord {
-        workload: workload.to_string(),
-        detail: detail.to_string(),
-        algorithm: alg.display_name(topo),
-        runs,
-        events_processed: 0,
-        events_scheduled: 0,
-        peak_heap_events: 0,
-        peak_heap_bytes: 0,
-        wall_ns: 0,
-        events_per_sec: 0.0,
-        mean_latency: 0.0,
-        sim_cycles: 0,
-    };
+    let mut rec = SimBenchRecord::empty(workload, detail, alg.display_name(topo), runs);
     let mut latency_sum = 0u64;
     for t in 0..runs {
         let placement = optmc::random_placement(n, ways * k, seed + t as u64);
@@ -280,23 +240,44 @@ pub fn bench_concurrent(
             })
             .collect();
         let (outcomes, sim) = run_concurrent(topo, cfg, alg, &specs);
-        let m = &sim.meta;
-        rec.events_processed += m.events_processed;
-        rec.events_scheduled += m.events_scheduled;
-        rec.peak_heap_events = rec.peak_heap_events.max(m.peak_heap_events);
-        rec.peak_heap_bytes = rec.peak_heap_bytes.max(m.peak_heap_bytes);
-        rec.wall_ns += m.wall_ns;
-        rec.sim_cycles += sim.finish;
+        rec.add(&sim);
         latency_sum += outcomes.iter().map(|o| o.latency).sum::<Time>();
     }
-    rec.mean_latency = latency_sum as f64 / (runs * ways) as f64;
-    if rec.wall_ns > 0 {
-        rec.events_per_sec = rec.events_processed as f64 * 1e9 / rec.wall_ns as f64;
-    }
+    rec.close(latency_sum, runs * ways);
     rec
 }
 
 impl SimBenchRecord {
+    /// A record with nothing folded in yet.
+    fn empty(workload: &str, detail: &str, algorithm: String, runs: usize) -> Self {
+        Self {
+            workload: workload.to_string(),
+            detail: detail.to_string(),
+            algorithm,
+            runs,
+            ..Self::default()
+        }
+    }
+
+    /// Fold one run's engine vitals in.
+    fn add(&mut self, sim: &flitsim::SimResult) {
+        let m = &sim.meta;
+        self.events_processed += m.events_processed;
+        self.events_scheduled += m.events_scheduled;
+        self.peak_heap_events = self.peak_heap_events.max(m.peak_heap_events);
+        self.peak_heap_bytes = self.peak_heap_bytes.max(m.peak_heap_bytes);
+        self.wall_ns += m.wall_ns;
+        self.sim_cycles += sim.finish;
+    }
+
+    /// Derive the mean latency over `count` multicasts and the throughput.
+    fn close(&mut self, latency_sum: Time, count: usize) {
+        self.mean_latency = latency_sum as f64 / count as f64;
+        if self.wall_ns > 0 {
+            self.events_per_sec = self.events_processed as f64 * 1e9 / self.wall_ns as f64;
+        }
+    }
+
     /// The machine-readable form shared by `results/bench_sim.json` and the
     /// repo-root `BENCH_sim.json`.
     pub fn to_json(&self) -> serde_json::Value {
@@ -751,33 +732,13 @@ mod tests {
     }
 
     #[test]
-    fn observed_bench_matches_unobserved_sentinels() {
+    fn observer_pair_sentinels_agree() {
         let mesh = topo::Mesh::new(&[8, 8]);
         let cfg = SimConfig::paragon_like();
-        let null = bench_observed(
-            "obs_null_t",
-            "",
-            &mesh,
-            &cfg,
-            Algorithm::OptArch,
-            12,
-            2048,
-            2,
-            7,
-            false,
-        );
-        let counters = bench_observed(
-            "obs_counters_t",
-            "",
-            &mesh,
-            &cfg,
-            Algorithm::OptArch,
-            12,
-            2048,
-            2,
-            7,
-            true,
-        );
+        let [null, counters] =
+            bench_observer_pair("t", "", &mesh, &cfg, Algorithm::OptArch, 12, 2048, 2, 7, 3);
+        assert_eq!(null.workload, "obs_null_t");
+        assert_eq!(counters.workload, "obs_counters_t");
         // Observation must not perturb the simulation: every deterministic
         // sentinel is identical across the pair.
         assert_eq!(null.events_scheduled, counters.events_scheduled);
@@ -786,6 +747,11 @@ mod tests {
         assert_eq!(null.mean_latency.to_bits(), counters.mean_latency.to_bits());
         // Counters keep worm-slab slot reuse, so peak heap bytes agree too.
         assert_eq!(null.peak_heap_bytes, counters.peak_heap_bytes);
+        // The sentinels are one pass's worth, matching an unobserved run.
+        let plain = bench_workload("t", "", &mesh, &cfg, Algorithm::OptArch, 12, 2048, 2, 7);
+        assert_eq!(null.events_scheduled, plain.events_scheduled);
+        assert_eq!(null.sim_cycles, plain.sim_cycles);
+        assert!(null.events_per_sec > 0.0 && counters.events_per_sec > 0.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 
 use pcm::Time;
-use topo::{ChannelId, NetworkGraph, NodeId, RouteTable, Topology};
+use topo::{ChannelId, NetworkGraph, NodeId, Topology};
 
 use crate::config::SimConfig;
 use crate::equeue::{EventQueue, ENTRY_BYTES};
@@ -124,7 +124,7 @@ type StartRec<P> = (NodeId, Time, Vec<SendReq<P>>);
 /// [`Engine::run`].
 pub struct Engine<'t, Prog: Program> {
     graph: &'t NetworkGraph,
-    routes: &'t RouteTable,
+    topo: &'t dyn Topology,
     cfg: SimConfig,
     program: Prog,
     worms: Vec<Worm<Prog::Payload>>,
@@ -203,7 +203,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         };
         Self {
             graph: g,
-            routes: topo.route_table(),
+            topo,
             cfg,
             program,
             worms: Vec::new(),
@@ -518,8 +518,8 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         self.schedule(t + t_send, Event::WormStart(w));
     }
 
-    /// Candidate channels for the worm's next hop, via the topology's
-    /// precomputed [`RouteTable`].
+    /// Candidate channels for the worm's next hop: its injection ports at
+    /// the source, then [`Topology::route_candidates`] at every router.
     fn candidates(&self, w: u32, out: &mut Vec<ChannelId>) {
         let worm = &self.worms[w as usize];
         match worm.path.last() {
@@ -531,7 +531,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                     .graph
                     .dst_router(c)
                     .expect("climbing worm sits at a router");
-                self.routes.candidates(r, worm.src, worm.dest, out);
+                self.topo.route_candidates(r, worm.src, worm.dest, out);
                 if !self.cfg.adaptive {
                     out.truncate(1);
                 }
@@ -662,15 +662,12 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
 
     fn on_release(&mut self, c: ChannelId, t: Time) {
         self.releases += 1;
-        if self.obs.enabled() {
-            let holder = self.channels[c.idx()]
-                .holder
-                .expect("release of a free channel");
-            self.obs.on_channel_release(t, holder, c);
-        }
+        let holder = self.channels[c.idx()]
+            .holder
+            .take()
+            .expect("release of a free channel");
+        self.obs.on_channel_release(t, holder, c);
         let ch = &mut self.channels[c.idx()];
-        debug_assert!(ch.holder.is_some(), "double release of {c:?}");
-        ch.holder = None;
         self.channel_busy += t - ch.acquired_at;
         self.chan_busy[c.idx()] += t - ch.acquired_at;
         let mut waiters = std::mem::take(&mut ch.waiters);

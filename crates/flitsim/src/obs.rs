@@ -396,10 +396,33 @@ impl Observer for TraceSink {
         self.enabled()
     }
 
+    /// `Null` and `Counters` are handled inline: once a hook's default
+    /// body is inlined into the engine, a counting sink pays one increment
+    /// and the event it would have built is never materialised.
+    #[inline]
     fn on_event(&mut self, e: TraceEvent) {
         match self {
             TraceSink::Null => {}
             TraceSink::Counters(c) => c.tally(e.kind),
+            _ => self.record(e),
+        }
+    }
+
+    #[inline]
+    fn on_tick(&mut self, t: Time, events_processed: u64) {
+        if let TraceSink::Custom(o) = self {
+            o.on_tick(t, events_processed);
+        }
+    }
+}
+
+impl TraceSink {
+    /// The retaining and forwarding arms of [`Observer::on_event`], kept out
+    /// of line so the hot `Null`/`Counters` arms inline into the engine.
+    #[inline(never)]
+    fn record(&mut self, e: TraceEvent) {
+        match self {
+            TraceSink::Null | TraceSink::Counters(_) => {}
             TraceSink::Memory {
                 events,
                 limit,
@@ -438,12 +461,6 @@ impl Observer for TraceSink {
                 }
             }
             TraceSink::Custom(o) => o.on_event(e),
-        }
-    }
-
-    fn on_tick(&mut self, t: Time, events_processed: u64) {
-        if let TraceSink::Custom(o) = self {
-            o.on_tick(t, events_processed);
         }
     }
 }

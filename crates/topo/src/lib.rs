@@ -40,10 +40,10 @@
 
 pub mod bmin;
 pub mod chain;
+mod coords;
 pub mod graph;
 pub mod mesh;
 pub mod omega;
-pub mod route_table;
 pub mod topology;
 pub mod torus;
 
@@ -52,6 +52,5 @@ pub use chain::{Chain, ChainError};
 pub use graph::{Channel, ChannelId, Endpoint, NetworkGraph, NodeId, RouterId};
 pub use mesh::Mesh;
 pub use omega::Omega;
-pub use route_table::{RouteCache, RouteTable, RouteTableBuilder};
 pub use topology::{RoutingError, Topology};
 pub use torus::Torus;

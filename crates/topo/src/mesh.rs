@@ -10,8 +10,8 @@
 //! pairing, and only that pairing, keeps disjoint chain intervals on
 //! disjoint channels).
 
+use crate::coords::{chain_key, coords_of, dims_label, index_of};
 use crate::graph::{ChannelId, NetworkGraph, NodeId, RouterId};
-use crate::route_table::{RouteCache, RouteTable};
 use crate::topology::Topology;
 
 /// An n-dimensional mesh. Each node has a dedicated router; routers connect
@@ -24,7 +24,6 @@ pub struct Mesh {
     /// `links[(router * ndim + dim) * 2 + dir]`, `dir` 0 = toward higher
     /// coordinate, 1 = toward lower.
     links: Vec<Option<ChannelId>>,
-    routes: RouteCache,
 }
 
 impl Mesh {
@@ -55,34 +54,27 @@ impl Mesh {
             }
         }
         let mut links = vec![None; n * ndim * 2];
-        let dims_v = dims.to_vec();
+        let router = |i: usize| RouterId(i as u32);
         for r in 0..n {
-            let c = coords_of(&dims_v, r);
-            for d in 0..ndim {
-                // +1 neighbour.
-                if c[d] + 1 < dims_v[d] {
-                    let mut nc = c.clone();
-                    nc[d] += 1;
-                    let nb = index_of(&dims_v, &nc);
-                    links[(r * ndim + d) * 2] =
-                        Some(b.link(RouterId(r as u32), RouterId(nb as u32)));
+            let mut stride = 1;
+            for (d, &m) in dims.iter().enumerate() {
+                // The neighbours one step up and down dimension d are
+                // `stride` indices away.
+                let c = r / stride % m;
+                if c + 1 < m {
+                    links[(r * ndim + d) * 2] = Some(b.link(router(r), router(r + stride)));
                 }
-                // -1 neighbour.
-                if c[d] > 0 {
-                    let mut nc = c.clone();
-                    nc[d] -= 1;
-                    let nb = index_of(&dims_v, &nc);
-                    links[(r * ndim + d) * 2 + 1] =
-                        Some(b.link(RouterId(r as u32), RouterId(nb as u32)));
+                if c > 0 {
+                    links[(r * ndim + d) * 2 + 1] = Some(b.link(router(r), router(r - stride)));
                 }
+                stride *= m;
             }
         }
         Self {
-            dims: dims_v,
+            dims: dims.to_vec(),
             ports,
             graph: b.build(),
             links,
-            routes: RouteCache::default(),
         }
     }
 
@@ -132,51 +124,25 @@ impl Mesh {
     }
 }
 
-fn coords_of(dims: &[usize], mut idx: usize) -> Vec<usize> {
-    dims.iter()
-        .map(|&m| {
-            let c = idx % m;
-            idx /= m;
-            c
-        })
-        .collect()
-}
-
-fn index_of(dims: &[usize], coords: &[usize]) -> usize {
-    let mut idx = 0;
-    let mut stride = 1;
-    for (&c, &m) in coords.iter().zip(dims) {
-        idx += c * stride;
-        stride *= m;
-    }
-    idx
-}
-
 impl Topology for Mesh {
     fn graph(&self) -> &NetworkGraph {
         &self.graph
     }
 
     fn route_candidates(&self, r: RouterId, _src: NodeId, dest: NodeId, out: &mut Vec<ChannelId>) {
-        // Router r is co-located with node r in a mesh.
-        let here = coords_of(&self.dims, r.idx());
-        let there = self.coords(dest);
-        for d in 0..self.dims.len() {
-            if here[d] != there[d] {
-                out.push(self.link(r, d, there[d] > here[d]));
+        // Router r is co-located with node r in a mesh.  Peel off one digit
+        // per dimension and route along the first that differs.
+        let (mut here, mut there) = (r.idx(), dest.idx());
+        for (d, &m) in self.dims.iter().enumerate() {
+            let (h, t) = (here % m, there % m);
+            if h != t {
+                out.push(self.link(r, d, t > h));
                 return;
             }
+            here /= m;
+            there /= m;
         }
         out.extend_from_slice(self.graph.consumptions(dest));
-    }
-
-    fn route_table(&self) -> &RouteTable {
-        // E-cube routing ignores the source; src = dest is a placeholder.
-        self.routes.get_or_build(|| {
-            RouteTable::src_invariant(&self.graph, |r, dest, out| {
-                self.route_candidates(r, dest, dest, out);
-            })
-        })
     }
 
     fn chain_key(&self, n: NodeId) -> u64 {
@@ -187,24 +153,15 @@ impl Topology for Mesh {
         // intervals stay on disjoint channels.  (With the opposite pairing a
         // chain-downward send sweeps across the sender's row and collides
         // with up-chain traffic — verified by the contention checker.)
-        let c = self.coords(n);
-        let mut key = 0u64;
-        for (&dim, &coord) in self.dims.iter().zip(&c) {
-            key = key * dim as u64 + coord as u64;
-        }
-        key
+        chain_key(&self.dims, n.idx())
     }
 
     fn name(&self) -> String {
-        let dims: Vec<String> = self
-            .dims
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
+        let dims = dims_label(&self.dims);
         if self.ports == 1 {
-            format!("mesh-{}", dims.join("x"))
+            format!("mesh-{dims}")
         } else {
-            format!("mesh-{}-{}port", dims.join("x"), self.ports)
+            format!("mesh-{dims}-{}port", self.ports)
         }
     }
 }

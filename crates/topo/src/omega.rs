@@ -17,7 +17,6 @@
 //! last stage's output position `q` feeds node `q`.
 
 use crate::graph::{ChannelId, NetworkGraph, NodeId, RouterId};
-use crate::route_table::{RouteCache, RouteTable, RouteTableBuilder};
 use crate::topology::Topology;
 
 /// An `N = 2^s` node unidirectional Omega network.
@@ -29,7 +28,6 @@ pub struct Omega {
     /// through output port `c` (for `ℓ < s-1`; the last stage uses
     /// consumption channels).
     inter: Vec<ChannelId>,
-    routes: RouteCache,
 }
 
 impl Omega {
@@ -69,7 +67,6 @@ impl Omega {
             s,
             graph: b.build(),
             inter,
-            routes: RouteCache::default(),
         }
     }
 
@@ -101,7 +98,9 @@ impl Topology for Omega {
         // next stage, so after s stages the wire position equals `dest`.
         let c = (dest.idx() >> (s - 1 - l)) & 1;
         if l == s - 1 {
-            debug_assert_eq!(
+            // Undefined at a last-stage switch not owning `dest`'s wire: the
+            // single path never gets there, so a query there is a bug.
+            assert_eq!(
                 2 * idx + c,
                 dest.idx(),
                 "omega routing must terminate at the destination's switch"
@@ -110,35 +109,6 @@ impl Topology for Omega {
         } else {
             out.push(self.inter[(l * self.width() + idx) * 2 + c]);
         }
-    }
-
-    fn route_table(&self) -> &RouteTable {
-        self.routes.get_or_build(|| {
-            let s = self.s as usize;
-            let w = self.width();
-            let n = self.graph.n_nodes();
-            let mut b = RouteTableBuilder::new(self.graph.n_routers(), n);
-            for l in 0..s {
-                for idx in 0..w {
-                    let r = RouterId((l * w + idx) as u32);
-                    if l == s - 1 {
-                        // Routing is only defined at the switch owning the
-                        // destination wire; other pairs stay empty (a worm
-                        // that single path never strands there).
-                        for c in 0..2 {
-                            let dest = NodeId((2 * idx + c) as u32);
-                            b.fixed(r, dest, self.graph.consumptions(dest));
-                        }
-                    } else {
-                        for dest in 0..n as u32 {
-                            let c = ((dest >> (s - 1 - l)) & 1) as usize;
-                            b.fixed(r, NodeId(dest), &[self.inter[(l * w + idx) * 2 + c]]);
-                        }
-                    }
-                }
-            }
-            b.build()
-        })
     }
 
     fn chain_key(&self, n: NodeId) -> u64 {
@@ -233,6 +203,13 @@ mod tests {
         }
         // And the block structure shows through at the half cut.
         assert!(cut_is_clean(8), "the aligned half cut must be clean");
+    }
+
+    #[test]
+    #[should_panic(expected = "destination's switch")]
+    fn undefined_last_stage_query_panics() {
+        // Last-stage switch 0 of omega-8 (router 8) owns wires 0 and 1 only.
+        Omega::new(3).route_candidates(RouterId(8), NodeId(0), NodeId(5), &mut Vec::new());
     }
 
     #[test]

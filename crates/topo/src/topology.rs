@@ -2,7 +2,6 @@
 //! to know about a network.
 
 use crate::graph::{ChannelId, NetworkGraph, NodeId, RouterId};
-use crate::route_table::RouteTable;
 
 /// Why a deterministic route could not be materialised.
 ///
@@ -88,16 +87,12 @@ pub trait Topology: Send + Sync {
     /// yield exactly one candidate; the BMIN up-phase yields two.  When the
     /// worm has reached `dest`'s router the single candidate is the
     /// consumption channel.
+    ///
+    /// This is the one routing function: the simulator calls it on every
+    /// hop of every worm, and the static checkers walk paths through it.
+    /// Implementations are O(dimensions) or O(1) reads of the topology's own
+    /// link arrays and must not allocate beyond pushing onto `out`.
     fn route_candidates(&self, r: RouterId, src: NodeId, dest: NodeId, out: &mut Vec<ChannelId>);
-
-    /// The precomputed next-hop table for this instance, built lazily on
-    /// first use and cached for the instance's lifetime (clones share it).
-    /// Contract: [`RouteTable::candidates`] returns exactly what
-    /// [`Topology::route_candidates`] would for every (router, src, dest)
-    /// the routing function is defined on — the simulator routes through
-    /// the table, the checkers through the dynamic function, and the
-    /// differential tests in `tests/route_table.rs` pin the two together.
-    fn route_table(&self) -> &RouteTable;
 
     /// The architecture's chain-ordering key: dimension-ordered (`<_d`) for
     /// meshes, lexicographic (binary address value) for BMINs.  Sorting nodes
@@ -180,5 +175,16 @@ pub trait Topology: Send + Sync {
     /// [`Topology::chain_key`]).
     fn sort_chain(&self, nodes: &mut [NodeId]) {
         nodes.sort_by_key(|&n| self.chain_key(n));
+    }
+}
+
+impl dyn Topology + '_ {
+    /// Does nothing and returns 0, the bytes of routing state it built:
+    /// routing has no build step.  This exists only so the benchmark's
+    /// `topo.route_table` span still compiles, and goes away with that
+    /// span.  (A unit return would trip clippy's `unit_arg` at the span's
+    /// `black_box` call.)
+    pub fn route_table(&self) -> usize {
+        0
     }
 }
