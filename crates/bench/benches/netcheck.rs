@@ -1,5 +1,6 @@
 //! Criterion: static-verification passes — channel-dependency-graph
-//! deadlock analysis, the full `check` report (CDG + routing lints), and
+//! deadlock analysis, the full `check` report (CDG + routing lints, at 8×8
+//! and at the paper's mesh 16×16, torus 16×16 and bmin 128), and
 //! the windowed contention checker that replaced the conservative
 //! interval approximation.
 
@@ -38,6 +39,22 @@ fn bench_check_topology(c: &mut Criterion) {
     });
     c.bench_function("check_topology_bmin64", |b| {
         b.iter(|| check_topology(black_box(&bmin), black_box(&bmin_disc)));
+    });
+    // The paper's evaluation networks, as `optmc check` certifies them.
+    let dims = vec![16, 16];
+    let mesh16 = Mesh::new(&dims);
+    let torus16 = Torus::new(&dims);
+    let grid_disc = Discipline::DimensionOrder { dims };
+    let bmin128 = Bmin::new(7, UpPolicy::Straight);
+    let bmin128_disc = Discipline::Turnaround { width: 64 };
+    c.bench_function("check_topology_mesh16x16", |b| {
+        b.iter(|| check_topology(black_box(&mesh16), black_box(&grid_disc)));
+    });
+    c.bench_function("check_topology_torus16x16", |b| {
+        b.iter(|| check_topology(black_box(&torus16), black_box(&grid_disc)));
+    });
+    c.bench_function("check_topology_bmin128", |b| {
+        b.iter(|| check_topology(black_box(&bmin128), black_box(&bmin128_disc)));
     });
 }
 

@@ -17,8 +17,11 @@
 //! channels of [`topo::Torus::new`] are there to cut.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 
 use topo::{ChannelId, NodeId, Topology};
+
+use crate::par;
 
 /// The result of a CDG analysis.
 #[derive(Debug, Clone)]
@@ -39,20 +42,23 @@ impl CdgAnalysis {
     }
 }
 
-/// Enumerate every dependency edge the routing function can induce, over
-/// all ordered `(src, dst)` pairs and all candidate branches.
-pub(crate) fn build_edges(topo: &dyn Topology) -> HashSet<(u32, u32)> {
+/// The dependency edges `topo`'s routing function induces out of each
+/// channel, over all ordered `(src, dst)` pairs whose source lies in
+/// `sources` and all candidate branches.  Each list is deduplicated; its
+/// length is bounded by the out-degree of the channel's router, so a
+/// linear `contains` is the whole set.
+fn walk_sources(topo: &dyn Topology, sources: Range<u32>) -> Vec<Vec<u32>> {
     let g = topo.graph();
     let nc = g.n_channels();
-    let n = g.n_nodes();
-    let mut edges: HashSet<(u32, u32)> = HashSet::new();
+    let n = g.n_nodes() as u32;
+    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); nc];
     // Per-pair visited set, generation-stamped to avoid reallocation.
     let mut stamp = vec![0u32; nc];
     let mut generation = 0u32;
     let mut queue: Vec<ChannelId> = Vec::new();
     let mut cand: Vec<ChannelId> = Vec::new();
-    for s in 0..n as u32 {
-        for d in 0..n as u32 {
+    for s in sources {
+        for d in 0..n {
             if s == d {
                 continue;
             }
@@ -68,8 +74,11 @@ pub(crate) fn build_edges(topo: &dyn Topology) -> HashSet<(u32, u32)> {
                 };
                 cand.clear();
                 topo.route_candidates(r, NodeId(s), NodeId(d), &mut cand);
+                let succ = &mut adj[c.idx()];
                 for &next in &cand {
-                    edges.insert((c.0, next.0));
+                    if !succ.contains(&next.0) {
+                        succ.push(next.0);
+                    }
                     if stamp[next.idx()] != generation {
                         stamp[next.idx()] = generation;
                         queue.push(next);
@@ -78,23 +87,51 @@ pub(crate) fn build_edges(topo: &dyn Topology) -> HashSet<(u32, u32)> {
             }
         }
     }
-    edges
+    adj
+}
+
+/// The channel dependency graph as sorted successor lists, with the
+/// source loop split into `chunks` ranges (see [`crate::par`]).
+pub(crate) fn dependencies(topo: &dyn Topology, chunks: usize) -> Vec<Vec<u32>> {
+    let n = topo.graph().n_nodes();
+    let mut parts = par::by_source(n, chunks, |sources| walk_sources(topo, sources)).into_iter();
+    let mut adj = parts.next().expect("at least one source range");
+    for part in parts {
+        for (succ, more) in adj.iter_mut().zip(part) {
+            for next in more {
+                if !succ.contains(&next) {
+                    succ.push(next);
+                }
+            }
+        }
+    }
+    for succ in &mut adj {
+        succ.sort_unstable();
+    }
+    adj
 }
 
 /// Build the CDG of `topo` and search it for cycles.
 pub fn analyze(topo: &dyn Topology) -> CdgAnalysis {
-    let nc = topo.graph().n_channels();
-    let edges = build_edges(topo);
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); nc];
-    for &(a, b) in &edges {
-        adj[a as usize].push(b);
+    analyze_split(topo, par::cores())
+}
+
+/// [`analyze`] with an explicit source-range count.
+pub(crate) fn analyze_split(topo: &dyn Topology, chunks: usize) -> CdgAnalysis {
+    let adj = dependencies(topo, chunks);
+    CdgAnalysis {
+        n_channels: adj.len(),
+        n_edges: adj.iter().map(Vec::len).sum(),
+        cycles: cycles_in(&adj),
     }
-    for list in &mut adj {
-        list.sort_unstable();
-    }
-    let sccs = tarjan_sccs(&adj);
+}
+
+/// One witness cycle per cyclic SCC of the graph with sorted successor
+/// lists `adj`, in a deterministic order.
+pub(crate) fn cycles_in(adj: &[Vec<u32>]) -> Vec<Vec<ChannelId>> {
+    let sccs = tarjan_sccs(adj);
     // Component id per vertex, for witness extraction.
-    let mut comp_id = vec![u32::MAX; nc];
+    let mut comp_id = vec![u32::MAX; adj.len()];
     for (cid, comp) in sccs.iter().enumerate() {
         for &v in comp {
             comp_id[v as usize] = cid as u32;
@@ -105,16 +142,12 @@ pub fn analyze(topo: &dyn Topology) -> CdgAnalysis {
         let cyclic = comp.len() > 1
             || (comp.len() == 1 && adj[comp[0] as usize].binary_search(&comp[0]).is_ok());
         if cyclic {
-            cycles.push(witness_cycle(comp, &adj, &comp_id, cid as u32));
+            cycles.push(witness_cycle(comp, adj, &comp_id, cid as u32));
         }
     }
     // Deterministic report order regardless of SCC discovery order.
     cycles.sort();
-    CdgAnalysis {
-        n_channels: nc,
-        n_edges: edges.len(),
-        cycles,
-    }
+    cycles
 }
 
 /// Iterative Tarjan SCC.
@@ -211,7 +244,7 @@ fn witness_cycle(comp: &[u32], adj: &[Vec<u32>], comp_id: &[u32], cid: u32) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topo::{Bmin, Mesh, Omega, Torus, UpPolicy};
+    use topo::{Bmin, Mesh, NetworkGraph, Omega, RouterId, Torus, UpPolicy};
 
     #[test]
     fn xy_mesh_is_acyclic() {
@@ -249,7 +282,7 @@ mod tests {
         // a single hop — forward distance 3 — so no worm chains two
         // consecutive negative channels and those rings stay edge-free.)
         assert_eq!(a.cycles.len(), 8, "cycles: {:?}", a.cycles);
-        let edges = build_edges(&t);
+        let adj = dependencies(&t, 1);
         for cycle in &a.cycles {
             assert!(cycle.len() >= 2);
             assert_eq!(cycle.first(), cycle.last(), "witness not closed");
@@ -257,7 +290,7 @@ mod tests {
             assert_eq!(cycle.len(), 5, "{cycle:?}");
             for pair in cycle.windows(2) {
                 assert!(
-                    edges.contains(&(pair[0].0, pair[1].0)),
+                    adj[pair[0].idx()].contains(&pair[1].0),
                     "witness edge {:?} -> {:?} not in the CDG",
                     pair[0],
                     pair[1]
@@ -273,6 +306,64 @@ mod tests {
         assert_eq!(a.cycles.len(), 2);
         for cycle in &a.cycles {
             assert_eq!(cycle.len(), 9, "{cycle:?}");
+        }
+    }
+
+    #[test]
+    fn source_split_does_not_change_the_analysis() {
+        let t = Torus::unvirtualized(&[5, 3]);
+        let whole = analyze_split(&t, 1);
+        assert!(!whole.is_acyclic());
+        for chunks in [2, 3, 7] {
+            let split = analyze_split(&t, chunks);
+            assert_eq!(split.n_channels, whole.n_channels, "{chunks} chunks");
+            assert_eq!(split.n_edges, whole.n_edges, "{chunks} chunks");
+            assert_eq!(split.cycles, whole.cycles, "{chunks} chunks");
+            assert_eq!(dependencies(&t, chunks), dependencies(&t, 1));
+        }
+    }
+
+    /// A mesh whose routing function panics on one pair.
+    struct PanicsOnPair(Mesh);
+
+    impl Topology for PanicsOnPair {
+        fn graph(&self) -> &NetworkGraph {
+            self.0.graph()
+        }
+        fn route_candidates(
+            &self,
+            r: RouterId,
+            src: NodeId,
+            dest: NodeId,
+            out: &mut Vec<ChannelId>,
+        ) {
+            if (src.0, dest.0) == (13, 2) {
+                panic!("routing bug at {src:?} -> {dest:?}");
+            }
+            self.0.route_candidates(r, src, dest, out);
+        }
+        fn chain_key(&self, n: NodeId) -> u64 {
+            self.0.chain_key(n)
+        }
+        fn name(&self) -> String {
+            "panics-on-pair".into()
+        }
+    }
+
+    #[test]
+    fn a_routing_panic_surfaces_with_its_own_message() {
+        let t = PanicsOnPair(Mesh::new(&[4, 4]));
+        let runs: [&dyn Fn() -> CdgAnalysis; 3] =
+            [&|| analyze(&t), &|| analyze_split(&t, 1), &|| {
+                analyze_split(&t, 3)
+            }];
+        for run in runs {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("the routing panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("routing bug at NodeId(13) -> NodeId(2)")
+            );
         }
     }
 }

@@ -34,9 +34,12 @@
 #![deny(missing_docs)]
 
 pub mod cdg;
+#[cfg(test)]
+mod cdg_oracle;
 pub mod certificate;
 pub mod diag;
 pub mod oracle;
+mod par;
 pub mod routing;
 pub mod schedset;
 pub mod validate;

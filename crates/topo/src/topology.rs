@@ -108,23 +108,38 @@ pub trait Topology: Send + Sync {
     /// analysis (`netcheck`) reports these as diagnostics instead of
     /// aborting.
     fn try_det_path(&self, src: NodeId, dst: NodeId) -> Result<Vec<ChannelId>, RoutingError> {
+        let mut path = Vec::new();
+        self.try_det_path_into(src, dst, &mut path).map(|()| path)
+    }
+
+    /// [`Topology::try_det_path`] into a caller-owned buffer, so an
+    /// all-pairs walk reuses one allocation.  `path` is cleared first; on
+    /// error it holds the partial walk.
+    fn try_det_path_into(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        path: &mut Vec<ChannelId>,
+    ) -> Result<(), RoutingError> {
+        path.clear();
         if src == dst {
             return Err(RoutingError::SelfRoute { node: src });
         }
         let g = self.graph();
-        let mut path = vec![g.injection(src)];
+        path.push(g.injection(src));
         let mut at = g
             .dst_router(g.injection(src))
             .expect("injection leads to a router");
-        let mut cand = Vec::new();
         // A worm never needs more hops than channels exist.
         for _ in 0..=g.n_channels() {
-            cand.clear();
-            self.route_candidates(at, src, dst, &mut cand);
-            let Some(&next) = cand.first() else {
+            // The candidates land after the walk so far; the first-preference
+            // one stays as the next hop.
+            let hop = path.len();
+            self.route_candidates(at, src, dst, path);
+            let Some(&next) = path.get(hop) else {
                 return Err(RoutingError::NoCandidate { at, src, dst });
             };
-            path.push(next);
+            path.truncate(hop + 1);
             match g.dst_router(next) {
                 Some(r) => at = r,
                 None => {
@@ -135,7 +150,7 @@ pub trait Topology: Send + Sync {
                             reached: g.dst_node(next),
                         });
                     }
-                    return Ok(path);
+                    return Ok(());
                 }
             }
         }

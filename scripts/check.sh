@@ -24,6 +24,20 @@ echo "==> optmc check (OPT-min on bmin:128)"
 cargo run --release -q -p optmc-cli --bin optmc -- \
     check --topo bmin:128 --alg opt-min --bytes 4096 --src 0
 
+# Deadlock positive control: the legs above prove only that clean networks
+# pass.  A torus without dateline virtual channels has a dependency cycle
+# on each of its 8 positive-direction wrap rings; `optmc check` must report
+# exactly those 8 and exit nonzero.
+echo "==> optmc check (positive control: torus:4x4:novc reports 8 NC0001 cycles)"
+if novc_out="$(cargo run --release -q -p optmc-cli --bin optmc -- \
+    check --topo torus:4x4:novc 2>&1)"; then
+    echo "optmc check passed a torus with dependency cycles" >&2
+    exit 1
+fi
+novc_cycles="$(grep -c '^error\[NC0001\]' <<<"$novc_out" || true)"
+test "$novc_cycles" -eq 8 \
+    || { echo "torus:4x4:novc: expected 8 NC0001 findings, got $novc_cycles" >&2; exit 1; }
+
 # Campaign smoke: a 4-cell sweep must run clean, and an immediate resume
 # must be a pure no-op (0 executed, 4 skipped) — the checkpoint contract.
 echo "==> optmc sweep (4-cell smoke campaign + no-op resume)"
